@@ -17,16 +17,17 @@ Three experiments:
   ``BENCH_optimizer.json`` so the perf trajectory is tracked across PRs.
 
 Methodology for the ablations: plans are compiled once per configuration;
-every timed run evaluates against a freshly shredded document (node
-construction appends to the arena, so reusing one arena would slow later
-runs and bias whichever configuration runs last); numpy is warmed up
-before measuring; the best of ``reps`` runs is reported.
+every timed run evaluates against one loaded document (constructed nodes
+live in each execution's transient overlay, so repetitions do not slow
+each other down); numpy is warmed up before measuring; the median of
+``reps`` runs is reported.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -123,17 +124,16 @@ def test_q8_plan_size_matches_paper_ballpark(engines_small):
 # --------------------------------------------------------------------------
 # script mode: the pushdown / cost-aware ablation table
 # --------------------------------------------------------------------------
-def _timed_eval(plan, text: str, reps: int) -> float:
-    """Best-of-``reps`` evaluation time against a fresh document."""
-    best = float("inf")
+def _timed_eval(plan, engine, reps: int) -> float:
+    """Median evaluation time of ``reps`` runs against ``engine``'s
+    loaded document."""
+    times = []
     for _ in range(reps):
-        engine = PathfinderEngine()
-        engine.load_document("auction.xml", text)
         ctx = EvalContext(engine.arena, engine.documents)
         t0 = time.perf_counter()
         evaluate(plan, ctx)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def run_ablation(scale: float = DEFAULT_SCALE, reps: int = DEFAULT_REPS) -> list[dict]:
@@ -157,9 +157,9 @@ def run_ablation(scale: float = DEFAULT_SCALE, reps: int = DEFAULT_REPS) -> list
         full = optimize(plan, estimator=estimator)
         no_push = optimize(plan, estimator=estimator, disabled={"pushdown"})
         structural = optimize(plan, estimator=estimator, disabled=COST_AWARE)
-        t_full = _timed_eval(full, text, reps)
-        t_nopush = _timed_eval(no_push, text, reps)
-        t_struct = _timed_eval(structural, text, reps)
+        t_full = _timed_eval(full, engine, reps)
+        t_nopush = _timed_eval(no_push, engine, reps)
+        t_struct = _timed_eval(structural, engine, reps)
         rec = {
             "query": name,
             "full": t_full,
@@ -179,15 +179,13 @@ def run_ablation(scale: float = DEFAULT_SCALE, reps: int = DEFAULT_REPS) -> list
     return records
 
 
-def _serialized(plan, text: str) -> str:
-    """Serialize one evaluation of ``plan`` against a fresh document."""
+def _serialized(plan, engine) -> str:
+    """Serialize one evaluation of ``plan`` against ``engine``'s document."""
     from repro.compiler.serialize import serialize_result
 
-    engine = PathfinderEngine()
-    engine.load_document("auction.xml", text)
     ctx = EvalContext(engine.arena, engine.documents)
     table = evaluate(plan, ctx)
-    return serialize_result(table, engine.arena)
+    return serialize_result(table, ctx.arena)
 
 
 def run_mode_ablation(
@@ -201,8 +199,8 @@ def run_mode_ablation(
     For every query the plan is optimized under each of :data:`MODES`
     (best-of-``reps`` planning time; ``cost``/``wcoj`` are handed the
     pre-built catalog statistics exactly as the production plan cache
-    does, ``greedy`` gets none), executed best-of-``reps`` against a
-    fresh document, and the serialized outputs of the three modes are
+    does, ``greedy`` gets none), executed ``reps`` times against one
+    loaded document (median reported), and the serialized outputs of the three modes are
     compared byte for byte.  Prints the table and writes ``json_path``
     (one summary row, same shape as the other BENCH_*.json files).
     """
@@ -238,10 +236,10 @@ def run_mode_ablation(
                 best_plan = min(best_plan, time.perf_counter() - t0)
             row[f"plan_{mode}_s"] = best_plan
             plan_totals[mode] += best_plan
-            t_exec = _timed_eval(optimized, text, reps)
+            t_exec = _timed_eval(optimized, engine, reps)
             row[f"exec_{mode}_s"] = t_exec
             exec_totals[mode] += t_exec
-            outputs[mode] = _serialized(optimized, text)
+            outputs[mode] = _serialized(optimized, engine)
         row["identical"] = len(set(outputs.values())) == 1
         per_query.append(row)
         wcoj_x = row["exec_cost_s"] / row["exec_wcoj_s"]

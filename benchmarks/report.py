@@ -183,8 +183,9 @@ def report_joins():
             )
             plan = optimize(compiler.compile_module(module))
             plans[jr] = alg.op_count(plan)
+            ctx = EvalContext(engine.arena, documents=engine.documents)
             t0 = time.perf_counter()
-            evaluate(plan, EvalContext(engine.arena, documents=engine.documents))
+            evaluate(plan, ctx)
             times[jr] = time.perf_counter() - t0
         recognised = "yes" if plans[True] != plans[False] else "no"
         print(
@@ -208,13 +209,14 @@ def report_sqlhost():
             plan, _ = engine.compile(XMARK_QUERIES[name])
             from repro.relational.evaluate import EvalContext, evaluate
 
+            ctx = EvalContext(engine.arena, documents=engine.documents)
             t0 = time.perf_counter()
-            evaluate(plan, EvalContext(engine.arena, documents=engine.documents))
+            evaluate(plan, ctx)
             t1 = time.perf_counter()
             table = backend.execute(plan)
             t2 = time.perf_counter()
             agree = (
-                serialize_result(table, engine.arena)
+                serialize_result(table, ctx.arena)
                 == engine.execute(XMARK_QUERIES[name]).serialize()
             )
             print(

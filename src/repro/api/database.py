@@ -494,6 +494,19 @@ class Database:
         """The attached store's operational summary (None when absent)."""
         return None if self.store is None else self.store.status()
 
+    def arena_status(self) -> dict:
+        """The base arena gauge behind ``/stats``: node, attribute and
+        fragment counts plus navigation-index rebuilds.  Constructed
+        nodes live in per-execution overlays, so under a read-only
+        workload every figure stays flat."""
+        arena = self.arena
+        return {
+            "nodes": arena.num_nodes,
+            "attrs": arena.num_attrs,
+            "fragments": len(arena.frag_base),
+            "index_builds": arena.index_builds,
+        }
+
     def paging_status(self) -> dict | None:
         """The pager's operational summary — budget, resident/mapped
         bytes, fault/eviction counters (None when paging is off)."""

@@ -19,6 +19,7 @@ from repro.compiler.serialize import (
     iter_result_values,
     iter_serialized_chunks,
 )
+from repro.encoding.overlay import ExecutionArena
 from repro.errors import NotSupportedError
 from repro.relational.evaluate import EvalContext, evaluate
 
@@ -28,7 +29,9 @@ class QueryResult:
 
     Serialisation is lazy (and cached): iterating or ``len()`` never
     builds the XML text, and ``serialize()`` runs the post-processor at
-    most once.
+    most once.  ``arena`` is the execution's
+    :class:`~repro.encoding.overlay.ExecutionArena`: the result owns the
+    nodes its query constructed, which are freed with it.
     """
 
     def __init__(
@@ -177,6 +180,7 @@ class PreparedQuery:
                 self._entry, {**(bindings or {}), **params}
             )
             trace_map: dict | None = {} if trace else None
+            arena = ExecutionArena(database.arena)
             t0 = time.perf_counter()
             table = None
             # tracing is a numpy-evaluator feature: a traced execution
@@ -190,7 +194,7 @@ class PreparedQuery:
                     session.stats.sqlhost_fallbacks += 1
             if table is None:
                 ctx = EvalContext(
-                    database.arena,
+                    arena,
                     documents=database.documents,
                     trace=trace_map,
                     use_staircase=session.use_staircase,
@@ -202,7 +206,7 @@ class PreparedQuery:
             session.stats.execute_seconds += elapsed
             return QueryResult(
                 table=table,
-                arena=database.arena,
+                arena=arena,
                 plan=self._entry.plan,
                 compile_seconds=self._entry.compile_seconds,
                 execute_seconds=elapsed,

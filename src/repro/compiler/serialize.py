@@ -48,9 +48,11 @@ class NodeHandle:
     def string_value(self) -> str:
         """The node's XPath string-value (concatenated text content)."""
         if self.is_attribute:
-            self.arena.ensure_attrs((self.node,))
-            return self.arena.pool.value(int(self.arena.attr_value[self.node]))
-        return self.arena.pool.value(self.arena.string_value_id(self.node))
+            arena, attr_id = self.arena.resolve_attr(self.node)
+            arena.ensure_attrs((attr_id,))
+            return arena.pool.value(int(arena.attr_value[attr_id]))
+        arena, node = self.arena.resolve(self.node)
+        return arena.pool.value(arena.string_value_id(node))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NodeHandle({self.serialize()!r})"

@@ -1,9 +1,11 @@
-"""The node arena: every document and constructed fragment, one encoding.
+"""The node arena: documents and constructed fragments, one encoding.
 
 The arena is the heart of the tree encoding.  It keeps the XPath
-Accelerator tables for *all* trees the engine knows about — loaded
-documents as well as fragments constructed at query runtime — as one set
-of parallel, growing arrays:
+Accelerator tables for a set of trees as one set of parallel, growing
+arrays.  The database's arena holds the loaded documents; the fragments
+a query constructs go to that execution's own overlay arena
+(:mod:`repro.encoding.overlay`), the same class sharing the same string
+pool:
 
 ``kind | size | level | frag | parent | name | value``
 
@@ -145,7 +147,7 @@ class TreeDelta:
 
 
 class NodeArena:
-    """Container for every tree the engine knows (documents + fragments).
+    """Container for a set of trees (documents and/or fragments).
 
     Concurrency contract: rows are append-only and never change once
     appended, so readers may scan without locking — a reader simply does
@@ -155,7 +157,10 @@ class NodeArena:
     whole encoding rests on ("the global row id doubles as the pre
     rank"), so constructors hold the lock for their entire fragment.
     The lazy navigation indices are rebuilt under the same lock and
-    handed to readers as an immutable snapshot.
+    handed to readers as an immutable snapshot.  Query execution never
+    appends to the database's arena (constructed nodes go to per-execution
+    overlays), so under a read-only workload the lock is taken only for
+    the one-time index build.
     """
 
     def __init__(self, pool: StringPool | None = None):
@@ -180,6 +185,9 @@ class NodeArena:
         #: attr_owners_sorted, text_rows) — replaced atomically as a unit
         #: so concurrent readers never mix index generations
         self._indices: tuple | None = None
+        #: how often the navigation indices were rebuilt (the ``/stats``
+        #: arena gauge: flat under a read-only workload)
+        self.index_builds = 0
         self._strvalue_cache: dict[int, int] = {}
         #: demand pager for mmap-backed fragments (None = fully eager);
         #: see :meth:`enable_paging` and :mod:`repro.encoding.paging`
@@ -409,6 +417,16 @@ class NodeArena:
         """Total attribute rows across every fragment."""
         return len(self._attr_owner)
 
+    def resolve(self, node: int) -> tuple["NodeArena", int]:
+        """``(arena, row)`` holding node ``node`` — this arena itself;
+        :class:`~repro.encoding.overlay.ExecutionArena` answers the same
+        call for its overlay ids, so readers handle both uniformly."""
+        return self, int(node)
+
+    def resolve_attr(self, attr_id: int) -> tuple["NodeArena", int]:
+        """Like :meth:`resolve` for attribute ids."""
+        return self, int(attr_id)
+
     # ------------------------------------------------------------- building
     def begin_fragment(self) -> int:
         """Start a new fragment; returns its id.  The next appended node is
@@ -448,16 +466,28 @@ class NodeArena:
         parents: Sequence[int],
         names: Sequence[int],
         values: Sequence[int],
+        fragment_roots: np.ndarray | None = None,
     ) -> int:
-        """Bulk append; returns the row id of the first appended node."""
+        """Bulk append; returns the row id of the first appended node.
+
+        Rows join the current fragment unless ``fragment_roots`` — the
+        ascending batch offsets of fragment roots, starting at 0 — is
+        given: then each of those rows begins a new fragment, so a whole
+        batch of constructed trees lands with one append.
+        """
         with self.mutation_lock:
             base = self.num_nodes
+            if fragment_roots is None:
+                frags = np.full(len(kinds), len(self.frag_base) - 1, dtype=np.int64)
+            else:
+                starts = np.zeros(len(kinds), dtype=np.int64)
+                starts[fragment_roots] = 1
+                frags = np.cumsum(starts) + (len(self.frag_base) - 1)
+                self.frag_base.extend((np.asarray(fragment_roots) + base).tolist())
             self._kind.extend(kinds)
             self._size.extend(sizes)
             self._level.extend(levels)
-            self._frag.extend(
-                np.full(len(kinds), len(self.frag_base) - 1, dtype=np.int64)
-            )
+            self._frag.extend(frags)
             self._parent.extend(parents)
             self._name.extend(names)
             self._value.extend(values)
@@ -519,6 +549,7 @@ class NodeArena:
             attr_order = np.argsort(owner, kind="stable")
             attr_owners_sorted = owner[attr_order]
             text_rows = np.nonzero(self.logical_column("kind") == NK_TEXT)[0]
+            self.index_builds += 1
             snap = (
                 self._version,
                 child_order,

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.api.database import Database
+from repro.encoding.overlay import ExecutionArena
 from repro.relational import algebra as alg
 from repro.relational.dot import to_ascii, to_dot
 from repro.relational.optimizer import OptimizerStats
@@ -45,6 +46,8 @@ class QueryResult:
 
     table: Table
     engine: "PathfinderEngine"
+    #: the execution's arena view (documents + the nodes it constructed)
+    arena: ExecutionArena
     plan: alg.Op
     compile_seconds: float
     execute_seconds: float
@@ -54,13 +57,13 @@ class QueryResult:
         """Result sequence as XML/text (the paper's post-processor)."""
         from repro.compiler.serialize import serialize_result
 
-        return serialize_result(self.table, self.engine.arena)
+        return serialize_result(self.table, self.arena)
 
     def values(self) -> list:
         """Result sequence as Python values (nodes become NodeHandles)."""
         from repro.compiler.serialize import result_values
 
-        return result_values(self.table, self.engine.arena)
+        return result_values(self.table, self.arena)
 
 
 @dataclass
@@ -208,6 +211,7 @@ class PathfinderEngine:
         return QueryResult(
             table=result.table,
             engine=self,
+            arena=result.arena,
             plan=result.plan,
             compile_seconds=t1 - t0,
             execute_seconds=result.execute_seconds,

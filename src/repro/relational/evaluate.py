@@ -5,8 +5,10 @@ whole input tables and produces a whole output table.  Plans are DAGs —
 loop-lifting shares subplans heavily — so results are memoised per
 operator node, and a shared subplan runs exactly once.
 
-The evaluator needs an :class:`EvalContext` carrying the node arena (for
-staircase joins, atomization and node construction) and the string pool.
+The evaluator needs an :class:`EvalContext` carrying the execution's
+arena view (for staircase joins, atomization and node construction) and
+the string pool.  Constructed nodes go to the view's transient overlay
+(:mod:`repro.encoding.overlay`), never to the shared document arena.
 An optional ``trace`` dict collects every operator's result table, which
 powers the demonstrator's "reveal the result computed for any
 subexpression" hook (paper Section 4).
@@ -19,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.encoding.arena import NodeArena
+from repro.encoding.arena import NK_COMMENT, NK_ELEM, NK_PI, NK_TEXT, NodeArena
+from repro.encoding.overlay import ATTR, COPY, TEXT, ExecutionArena
 from repro.errors import AlgebraError, DynamicError, TypeError_
 from repro.relational import algebra as alg
 from repro.relational import items as it
@@ -39,6 +42,7 @@ from repro.relational.kernels import (
     combine_keys,
     in_set,
     join_indices,
+    multi_arange,
     row_number_per_group,
 )
 from repro.relational.staircase import naive_step, staircase_step, twig_match
@@ -53,9 +57,12 @@ class EvalContext:
     (prepared-query parameters): name → Python scalar or sequence.  The
     compiled plan references them through ``ParamTable`` leaves, so the
     same plan DAG can be evaluated many times with different bindings.
+
+    ``arena`` is the execution's :class:`ExecutionArena`; a bare
+    :class:`NodeArena` is wrapped in a fresh one by :func:`evaluate`.
     """
 
-    arena: NodeArena
+    arena: ExecutionArena | NodeArena
     documents: dict[str, int] = field(default_factory=dict)
     trace: dict[int, Table] | None = None
     use_staircase: bool = True
@@ -70,6 +77,8 @@ class EvalContext:
 
 def evaluate(root: alg.Op, ctx: EvalContext) -> Table:
     """Evaluate a plan DAG bottom-up with memoisation."""
+    if isinstance(ctx.arena, NodeArena):
+        ctx.arena = ExecutionArena(ctx.arena)
     memo: dict[int, Table] = {}
     # iterative post-order to survive very deep plans
     stack: list[tuple[alg.Op, bool]] = [(root, False)]
@@ -418,7 +427,9 @@ def _eval_step(node: alg.StepJoin, inputs, ctx) -> Table:
         )
     step = staircase_step if ctx.use_staircase else naive_step
     ctx.step_counter[0] += 1
-    out_iter, rows = step(ctx.arena, iters, nodes, node.axis, node.test)
+    out_iter, rows = ctx.arena.per_side(
+        step, iters, nodes, node.axis, node.test, attr_out=kind == K_ATTR
+    )
     return Table(
         {node.iter_col: out_iter, node.item_col: ItemColumn.of_kind(kind, rows)}
     )
@@ -450,13 +461,13 @@ def _eval_twig(node: alg.StructuralTwigJoin, inputs, ctx) -> Table:
         )
     ctx.step_counter[0] += 1
     if ctx.use_staircase:
-        out_iter, rows = twig_match(ctx.arena, iters, nodes, node.steps)
+        out_iter, rows = ctx.arena.per_side(twig_match, iters, nodes, node.steps)
     else:
         # tree-unaware mode chains the naive baseline pairwise, so the
         # staircase/naive differential keeps covering the twig operator
         out_iter, rows = iters, nodes
         for axis, test in node.steps:
-            out_iter, rows = naive_step(ctx.arena, out_iter, rows, axis, test)
+            out_iter, rows = ctx.arena.per_side(naive_step, out_iter, rows, axis, test)
     return Table(
         {node.iter_col: out_iter, node.item_col: ItemColumn.of_kind(K_NODE, rows)}
     )
@@ -474,40 +485,39 @@ def _eval_atomize(node: alg.Atomize, inputs, ctx) -> Table:
         kinds[m] = K_UNTYPED
     m = col.kinds == K_ATTR
     if m.any():
-        data[m] = arena.attr_value[col.data[m]]
+        data[m] = arena.take("attr_value", col.data[m])
         kinds[m] = K_UNTYPED
     return table.with_column(node.target, ItemColumn(kinds, data))
 
 
-def _content_spec(arena, pool, kinds, data) -> list[tuple[str, int]]:
-    """Turn one iteration's content items into arena constructor entries,
-    merging runs of adjacent atomic items into single text entries."""
-    spec: list[tuple[str, int]] = []
-    atom_run: list[str] = []
-
-    def flush():
-        if atom_run:
-            spec.append(("text", pool.intern(" ".join(atom_run))))
-            atom_run.clear()
-
-    for kind, payload in zip(kinds, data):
-        kind = int(kind)
-        payload = int(payload)
-        if kind == K_NODE:
-            flush()
-            spec.append(("copy", payload))
-        elif kind == K_ATTR:
-            flush()
-            spec.append(("attr", payload))
-        else:
-            atom_run.append(it.lexical(kind, payload, pool))
-    flush()
-    return spec
+def _content_entries(owners, kinds, data, pool):
+    """Turn constructor content items into ``new_elements`` entries:
+    nodes become copies, attributes attribute copies, and each run of
+    adjacent atomic items of one element a single text entry (lexical
+    forms joined by single spaces).  Returns ``(owners, tags, payloads)``."""
+    tags = np.where(kinds == K_NODE, COPY, ATTR)
+    payloads = data.copy()
+    atomic = (kinds != K_NODE) & (kinds != K_ATTR)
+    if not atomic.any():
+        return owners, tags, payloads
+    continues = np.zeros(len(kinds), dtype=bool)
+    continues[1:] = atomic[:-1] & (owners[1:] == owners[:-1])
+    run_start = atomic & ~continues
+    run_of = np.cumsum(run_start)[atomic] - 1
+    runs: list[list[str]] = [[] for _ in range(int(run_start.sum()))]
+    for run, kind, payload in zip(
+        run_of.tolist(), kinds[atomic].tolist(), data[atomic].tolist()
+    ):
+        runs[run].append(it.lexical(kind, payload, pool))
+    tags[run_start] = TEXT
+    payloads[run_start] = [pool.intern(" ".join(run)) for run in runs]
+    keep = ~atomic | run_start
+    return owners[keep], tags[keep], payloads[keep]
 
 
 def _eval_elem(node: alg.ElemConstr, inputs, ctx) -> Table:
     names, content = inputs
-    arena, pool = ctx.arena, ctx.pool
+    pool = ctx.pool
     n_iter = names.num("iter")
     n_item = names.item("item")
     c_iter = content.num("iter")
@@ -518,40 +528,38 @@ def _eval_elem(node: alg.ElemConstr, inputs, ctx) -> Table:
     else:
         order = np.argsort(c_iter, kind="stable")
     c_iter, c_kinds, c_data = c_iter[order], c_kinds[order], c_data[order]
-    out_nodes = np.empty(len(n_iter), dtype=np.int64)
     lo = np.searchsorted(c_iter, n_iter, side="left")
     hi = np.searchsorted(c_iter, n_iter, side="right")
-    name_sids = it.to_string_ids(n_item, pool)
-    for i in range(len(n_iter)):
-        spec = _content_spec(arena, pool, c_kinds[lo[i]:hi[i]], c_data[lo[i]:hi[i]])
-        out_nodes[i] = arena.new_element(int(name_sids[i]), [], spec)
+    picked = multi_arange(lo, hi)
+    owners = np.repeat(np.arange(len(n_iter), dtype=np.int64), hi - lo)
+    owners, tags, payloads = _content_entries(
+        owners, c_kinds[picked], c_data[picked], pool
+    )
+    out_nodes = ctx.arena.new_elements(
+        it.to_string_ids(n_item, pool), owners, tags, payloads
+    )
     return Table({"iter": n_iter, "item": ItemColumn.from_nodes(out_nodes)})
 
 
 def _eval_text(node: alg.TextConstr, inputs, ctx) -> Table:
     content = inputs[0]
-    arena, pool = ctx.arena, ctx.pool
     iters = content.num("iter")
-    sids = it.to_string_ids(content.item("item"), pool)
-    out = np.empty(len(iters), dtype=np.int64)
-    for i, sid in enumerate(sids):
-        out[i] = arena.new_text_node(int(sid))
+    sids = it.to_string_ids(content.item("item"), ctx.pool)
+    out = ctx.arena.new_text_nodes(sids)
     return Table({"iter": iters, "item": ItemColumn.from_nodes(out)})
 
 
 def _eval_attr(node: alg.AttrConstr, inputs, ctx) -> Table:
     names, values = inputs
-    arena, pool = ctx.arena, ctx.pool
+    pool = ctx.pool
     n_iter = names.num("iter")
     name_sids = it.to_string_ids(names.item("item"), pool)
     v_iter = values.num("iter")
     value_sids = it.to_string_ids(values.item("item"), pool)
     by_iter = {int(i): int(s) for i, s in zip(v_iter, value_sids)}
     empty = pool.intern("")
-    out = np.empty(len(n_iter), dtype=np.int64)
-    for i in range(len(n_iter)):
-        sid = by_iter.get(int(n_iter[i]), empty)
-        out[i] = arena.new_attribute(int(name_sids[i]), sid)
+    value_of = [by_iter.get(i, empty) for i in n_iter.tolist()]
+    out = ctx.arena.new_attributes(name_sids, value_of)
     return Table({"iter": n_iter, "item": ItemColumn.of_kind(K_ATTR, out)})
 
 
@@ -606,7 +614,7 @@ def _eval_docroot(node: alg.DocRoot, inputs, ctx) -> Table:
         raise DynamicError(f"document {node.uri!r} is not loaded", code="err:FODC0002")
     # the per-query paging choke point: fault the document's fragment in
     # before any step kernel touches its rows
-    ctx.arena.ensure_rows((row,))
+    ctx.arena.base.ensure_rows((row,))
     return Table(
         {
             "iter": np.asarray([1], dtype=np.int64),
@@ -706,7 +714,7 @@ def _fn_node_kind(ctx, a):
     out = np.full(len(a), -1, dtype=np.int64)
     m = a.kinds == K_NODE
     if m.any():
-        out[m] = ctx.arena.kind[a.data[m]]
+        out[m] = ctx.arena.take("kind", a.data[m])
     out[a.kinds == K_ATTR] = -2
     return out
 
@@ -900,47 +908,52 @@ def _fn_elem_name_is(ctx, a, b):
     m = a.kinds == K_NODE
     if m.any():
         rows = a.data[m]
-        from repro.encoding.arena import NK_ELEM
-
-        out_m = (arena.kind[rows] == NK_ELEM) & (arena.name[rows] == sb[m])
+        out_m = (arena.take("kind", rows) == NK_ELEM) & (
+            arena.take("name", rows) == sb[m]
+        )
         out[m] = out_m
     return ItemColumn.from_bools(out)
 
 
 def _deep_equal_nodes(arena, x: int, y: int) -> bool:
-    """Structural equality of two subtrees (fn:deep-equal node case)."""
-    if arena.kind[x] != arena.kind[y]:
-        return False
-    from repro.encoding.arena import NK_COMMENT, NK_ELEM, NK_PI, NK_TEXT
+    """Structural equality of two subtrees (fn:deep-equal node case);
+    ``x`` and ``y`` may live in different sides of an execution arena."""
+    ax, x = arena.resolve(x)
+    ay, y = arena.resolve(y)
+    return _deep_equal_local(ax, x, ay, y)
 
-    kind = int(arena.kind[x])
+
+def _deep_equal_local(ax, x: int, ay, y: int) -> bool:
+    if ax.kind[x] != ay.kind[y]:
+        return False
+    kind = int(ax.kind[x])
     if kind in (NK_TEXT, NK_COMMENT):
-        return arena.value[x] == arena.value[y]
+        return ax.value[x] == ay.value[y]
     if kind == NK_PI:
-        return arena.name[x] == arena.name[y] and arena.value[x] == arena.value[y]
-    if kind == NK_ELEM and arena.name[x] != arena.name[y]:
+        return ax.name[x] == ay.name[y] and ax.value[x] == ay.value[y]
+    if kind == NK_ELEM and ax.name[x] != ay.name[y]:
         return False
     # attributes: same name/value multiset
-    ox, lx, hx = arena.attr_ranges(np.asarray([x], dtype=np.int64))
-    oy, ly, hy = arena.attr_ranges(np.asarray([y], dtype=np.int64))
-    ax = sorted(
-        (int(arena.attr_name[j]), int(arena.attr_value[j]))
-        for j in ox[int(lx[0]) : int(hx[0])]
-    )
-    ay = sorted(
-        (int(arena.attr_name[j]), int(arena.attr_value[j]))
-        for j in oy[int(ly[0]) : int(hy[0])]
-    )
-    if ax != ay:
+    if _attr_pairs(ax, x) != _attr_pairs(ay, y):
         return False
     # children pairwise (comments/PIs included for simplicity)
-    ox, lx, hx = arena.children_ranges(np.asarray([x], dtype=np.int64))
-    oy, ly, hy = arena.children_ranges(np.asarray([y], dtype=np.int64))
-    cx = sorted(int(r) for r in ox[int(lx[0]) : int(hx[0])])
-    cy = sorted(int(r) for r in oy[int(ly[0]) : int(hy[0])])
+    cx, cy = _child_list(ax, x), _child_list(ay, y)
     if len(cx) != len(cy):
         return False
-    return all(_deep_equal_nodes(arena, i, j) for i, j in zip(cx, cy))
+    return all(_deep_equal_local(ax, i, ay, j) for i, j in zip(cx, cy))
+
+
+def _attr_pairs(arena, row: int) -> list[tuple[int, int]]:
+    order, lo, hi = arena.attr_ranges(np.asarray([row], dtype=np.int64))
+    return sorted(
+        (int(arena.attr_name[j]), int(arena.attr_value[j]))
+        for j in order[int(lo[0]) : int(hi[0])]
+    )
+
+
+def _child_list(arena, row: int) -> list[int]:
+    order, lo, hi = arena.children_ranges(np.asarray([row], dtype=np.int64))
+    return sorted(int(r) for r in order[int(lo[0]) : int(hi[0])])
 
 
 def _fn_deep_equal(ctx, a, b):
@@ -957,10 +970,9 @@ def _fn_deep_equal(ctx, a, b):
         elif ka == K_NODE and kb == K_NODE:
             out[i] = _deep_equal_nodes(arena, va, vb)
         elif ka == K_ATTR and kb == K_ATTR:
-            out[i] = (
-                arena.attr_name[va] == arena.attr_name[vb]
-                and arena.attr_value[va] == arena.attr_value[vb]
-            )
+            names = arena.take("attr_name", (va, vb))
+            values = arena.take("attr_value", (va, vb))
+            out[i] = names[0] == names[1] and values[0] == values[1]
         else:
             out[i] = bool(
                 it.compare("eq", a.take([i]), b.take([i]), pool)[0]
@@ -971,17 +983,14 @@ def _fn_deep_equal(ctx, a, b):
 def _fn_node_name(ctx, a):
     a = _as_item(a)
     arena, pool = ctx.arena, ctx.pool
-    out = np.empty(len(a), dtype=np.int64)
-    empty = pool.intern("")
-    for i in range(len(a)):
-        kind, payload = int(a.kinds[i]), int(a.data[i])
-        if kind == K_NODE:
-            nid = int(arena.name[payload])
-            out[i] = nid if nid >= 0 else empty
-        elif kind == K_ATTR:
-            out[i] = int(arena.attr_name[payload])
-        else:
-            out[i] = empty
+    out = np.full(len(a), pool.intern(""), dtype=np.int64)
+    m = a.kinds == K_NODE
+    if m.any():
+        nids = arena.take("name", a.data[m])
+        out[m] = np.where(nids >= 0, nids, out[m])
+    m = a.kinds == K_ATTR
+    if m.any():
+        out[m] = arena.take("attr_name", a.data[m])
     return ItemColumn.from_pooled(K_STR, out)
 
 

@@ -430,6 +430,7 @@ class QueryService:
                     "single_flight_waits": self.database.single_flight_waits,
                 },
                 "documents": len(self.database.documents),
+                "arena": self.database.arena_status(),
             }
         )
         store = self.database.store_status()

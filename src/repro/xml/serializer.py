@@ -13,6 +13,11 @@ every pool surrogate the slice needs, fetches all attributes with one
 markup in row order — open tags as rows arrive, close tags when the scan
 passes a subtree's end row (``p + size[p]``, the region encoding of the
 level-delta).  No recursion, no per-node ``children_ranges`` calls.
+
+Every entry point takes a :class:`~repro.encoding.arena.NodeArena` or a
+query's :class:`~repro.encoding.overlay.ExecutionArena` and first
+resolves the id to the arena side that holds it (subtrees never span
+sides).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ def serialize_node(arena: NodeArena, node: int) -> str:
 
 def serialize_attribute(arena: NodeArena, attr_id: int) -> str:
     """Serialise a standalone attribute as ``name="value"``."""
+    arena, attr_id = arena.resolve_attr(attr_id)
     arena.ensure_attrs((attr_id,))
     name = arena.pool.value(int(arena.attr_name[attr_id]))
     value = arena.pool.value(int(arena.attr_value[attr_id]))
@@ -45,7 +51,7 @@ def scan_parts(arena: NodeArena, node: int) -> list[str]:
     either join the parts into one string or flush them downstream in
     bounded chunks without ever assembling the full text.
     """
-    start = int(node)
+    arena, start = arena.resolve(node)
     arena.ensure_rows((start,))
     stop = start + int(arena.size[start]) + 1
     kinds = arena.kind[start:stop].tolist()
@@ -119,7 +125,7 @@ def serialize_node_recursive(arena: NodeArena, node: int) -> str:
     ``benchmarks/bench_serialize.py`` measures the speedup over.
     """
     out: list[str] = []
-    _serialize_into(arena, node, out)
+    _serialize_into(*arena.resolve(node), out)
     return "".join(out)
 
 

@@ -350,6 +350,10 @@ class TestStatsAggregation:
         assert cache["capacity"] == sum(
             s["plan_cache"]["capacity"] for s in stats["shards"]
         )
+        # so are the per-shard document-arena gauges
+        assert stats["arena"]["nodes"] == sum(
+            s["arena"]["nodes"] for s in stats["shards"]
+        )
 
     def test_documents_listing_is_merged_and_sorted(self, cluster):
         docs = cluster.list_documents()

@@ -306,6 +306,39 @@ def test_service_honors_optimizer_mode_session_option():
         service.shutdown(wait=True)
 
 
+def test_repeated_constructor_queries_keep_the_arena_flat():
+    """200 XMark Q10 requests through the ``serve --workers 0`` stack
+    (QueryService behind the threaded HTTP front end): the /stats arena
+    gauge shows no growth and no navigation-index rebuild, because the
+    constructed nodes live in per-request overlays."""
+    from repro.xmark import XMARK_QUERIES, generate_document
+
+    database = Database()
+    database.load_document("auction.xml", generate_document(0.0005))
+    service = QueryService(database, workers=2, deadline_seconds=30.0)
+    httpd = make_server(service, port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{httpd.server_address[1]}"
+    try:
+        status, first = post_query(base, {"query": XMARK_QUERIES["Q10"]})
+        assert status == 200
+        _, stats = request(base, "/stats")
+        before = stats["arena"]
+        assert before["nodes"] > 0 and before["index_builds"] >= 1
+        for _ in range(199):
+            status, body = post_query(base, {"query": XMARK_QUERIES["Q10"]})
+            assert status == 200 and body["result"] == first["result"]
+        _, stats = request(base, "/stats")
+        assert stats["arena"] == before
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        service.shutdown()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 class TestReviewRegressions:
     """Contract details: falsy-but-valid queries, bad deadline types,
     shed/timeout exclusivity."""
