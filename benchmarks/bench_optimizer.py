@@ -20,7 +20,8 @@ Methodology for the ablations: plans are compiled once per configuration;
 every timed run evaluates against one loaded document (constructed nodes
 live in each execution's transient overlay, so repetitions do not slow
 each other down); numpy is warmed up before measuring; the median of
-``reps`` runs is reported.
+``reps`` runs is reported (for planning time with its interquartile
+range, since single runs of a few-millisecond planner flip rankings).
 """
 
 from __future__ import annotations
@@ -124,6 +125,14 @@ def test_q8_plan_size_matches_paper_ballpark(engines_small):
 # --------------------------------------------------------------------------
 # script mode: the pushdown / cost-aware ablation table
 # --------------------------------------------------------------------------
+def _median_iqr(samples: list[float]) -> tuple[float, float]:
+    """Median and interquartile range of ``samples`` (IQR 0 for one)."""
+    if len(samples) < 2:
+        return samples[0], 0.0
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return statistics.median(samples), q3 - q1
+
+
 def _timed_eval(plan, engine, reps: int) -> float:
     """Median evaluation time of ``reps`` runs against ``engine``'s
     loaded document."""
@@ -196,13 +205,16 @@ def run_mode_ablation(
 ) -> dict:
     """Planning + execution time per optimizer mode across the XMark suite.
 
-    For every query the plan is optimized under each of :data:`MODES`
-    (best-of-``reps`` planning time; ``cost``/``wcoj`` are handed the
-    pre-built catalog statistics exactly as the production plan cache
-    does, ``greedy`` gets none), executed ``reps`` times against one
-    loaded document (median reported), and the serialized outputs of the three modes are
-    compared byte for byte.  Prints the table and writes ``json_path``
-    (one summary row, same shape as the other BENCH_*.json files).
+    For every query the plan is optimized ``reps`` times under each of
+    :data:`MODES` (median and IQR of planning time; ``cost``/``wcoj``
+    are handed the pre-built catalog statistics exactly as the
+    production plan cache does, ``greedy`` gets none), executed ``reps``
+    times against one loaded document (median reported), and the
+    serialized outputs of the three modes are compared byte for byte.
+    Per-mode planning totals are the median and IQR, over the ``reps``
+    repetitions, of the whole suite's planning time.  Prints the table
+    and writes ``json_path`` (one summary row, same shape as the other
+    BENCH_*.json files).
     """
     text = generate_document(scale)
     engine = PathfinderEngine()
@@ -217,7 +229,7 @@ def run_mode_ablation(
         f"{'exec cost':>10} {'greedy':>8} {'wcoj':>8} {'wcoj x':>7} {'same':>5}"
     )
     per_query = []
-    plan_totals = {m: 0.0 for m in MODES}
+    plan_runs = {m: [0.0] * reps for m in MODES}  # suite total per rep
     exec_totals = {m: 0.0 for m in MODES}
     for name in names:
         module = desugar_module(parse_query(XMARK_QUERIES[name]))
@@ -228,14 +240,14 @@ def run_mode_ablation(
         outputs = {}
         for mode in MODES:
             est = None if mode == "greedy" else estimator
-            best_plan = float("inf")
+            times = []
             optimized = None
-            for _ in range(reps):
+            for rep in range(reps):
                 t0 = time.perf_counter()
                 optimized = optimize(plan, estimator=est, mode=mode)
-                best_plan = min(best_plan, time.perf_counter() - t0)
-            row[f"plan_{mode}_s"] = best_plan
-            plan_totals[mode] += best_plan
+                times.append(time.perf_counter() - t0)
+                plan_runs[mode][rep] += times[-1]
+            row[f"plan_{mode}_s"], row[f"plan_{mode}_iqr_s"] = _median_iqr(times)
             t_exec = _timed_eval(optimized, engine, reps)
             row[f"exec_{mode}_s"] = t_exec
             exec_totals[mode] += t_exec
@@ -253,6 +265,9 @@ def run_mode_ablation(
             f"{wcoj_x:>6.2f}x {'yes' if row['identical'] else 'NO':>5}"
         )
 
+    plan_totals, plan_iqr = {}, {}
+    for mode in MODES:
+        plan_totals[mode], plan_iqr[mode] = _median_iqr(plan_runs[mode])
     greedy_plan_speedup = plan_totals["cost"] / plan_totals["greedy"]
     greedy_exec_ratio = exec_totals["greedy"] / exec_totals["cost"]
     wcoj_speedups = {
@@ -260,14 +275,15 @@ def run_mode_ablation(
     }
     wcoj_wins = sorted(q for q, x in wcoj_speedups.items() if x >= 1.3)
     all_identical = all(r["identical"] for r in per_query)
+    print(f"planning totals, all {len(names)} queries (median ± IQR of {reps} reps):")
+    for mode in MODES:
+        print(
+            f"  {mode:>6} {plan_totals[mode] * 1000:>8.1f}ms "
+            f"± {plan_iqr[mode] * 1000:.1f}ms"
+        )
+    print(f"greedy plans {greedy_plan_speedup:.1f}x faster than cost")
     print(
-        f"totals: planning cost {plan_totals['cost'] * 1000:.1f}ms, "
-        f"greedy {plan_totals['greedy'] * 1000:.1f}ms "
-        f"({greedy_plan_speedup:.1f}x faster), "
-        f"wcoj {plan_totals['wcoj'] * 1000:.1f}ms"
-    )
-    print(
-        f"        execution cost {exec_totals['cost'] * 1000:.1f}ms, "
+        f"execution totals: cost {exec_totals['cost'] * 1000:.1f}ms, "
         f"greedy {exec_totals['greedy'] * 1000:.1f}ms "
         f"({greedy_exec_ratio:.3f}x of cost), "
         f"wcoj {exec_totals['wcoj'] * 1000:.1f}ms"
@@ -283,6 +299,7 @@ def run_mode_ablation(
         "reps": reps,
         "queries": names,
         "planning_total_s": plan_totals,
+        "planning_total_iqr_s": plan_iqr,
         "execution_total_s": exec_totals,
         "greedy_planning_speedup": greedy_plan_speedup,
         "greedy_execution_ratio": greedy_exec_ratio,

@@ -20,7 +20,6 @@ paper exploits:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.encoding.axes import Axis, NodeTest
 
@@ -554,24 +553,30 @@ def _fmt(operand: Operand) -> str:
 # --------------------------------------------------------------------------
 # DAG utilities
 # --------------------------------------------------------------------------
-def walk(root: Op) -> Iterator[Op]:
-    """Yield every distinct operator of the DAG, children before parents."""
-    seen: set[int] = set()
+def walk(root: Op) -> list[Op]:
+    """Every distinct operator of the DAG, children before parents.
+
+    Operators hash by identity, so the ``seen`` set holds the nodes
+    themselves (an ``id()`` could be reused once a node is freed).
+    """
+    order: list[Op] = []
+    seen: set[Op] = set()
     stack: list[tuple[Op, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
         if expanded:
-            seen.add(id(node))
-            yield node
+            seen.add(node)
+            order.append(node)
         else:
             stack.append((node, True))
             for child in node.children:
-                if id(child) not in seen:
+                if child not in seen:
                     stack.append((child, False))
+    return order
 
 
 def op_count(root: Op) -> int:
     """Number of distinct operators in the plan DAG (paper: Q8 ≈ 120)."""
-    return sum(1 for _ in walk(root))
+    return len(walk(root))

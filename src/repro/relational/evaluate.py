@@ -325,12 +325,13 @@ def _eval_aggr(node: alg.Aggr, inputs, ctx) -> Table:
         if len(col) and stringish.any():
             agg_col = _string_aggregate(node, col, stringish, starts, ctx)
         else:
-            if col.is_homogeneous(K_INT) and node.kind in ("sum", "min", "max"):
-                vals = col.data.astype(np.float64)
-                integral = True
+            vals = it.to_double(col, ctx.pool)
+            # sum/min/max of a group of xs:integer items is an xs:integer,
+            # judged per group: one double elsewhere changes nothing here
+            if node.kind != "avg" and len(vals):
+                integral = np.logical_and.reduceat(col.kinds == K_INT, starts)
             else:
-                vals = it.to_double(col, ctx.pool)
-                integral = False
+                integral = np.zeros(len(starts), dtype=bool)
             if len(vals) == 0:
                 reduced = np.empty(0, dtype=np.float64)
             elif node.kind == "sum":
@@ -341,10 +342,10 @@ def _eval_aggr(node: alg.Aggr, inputs, ctx) -> Table:
                 reduced = np.maximum.reduceat(vals, starts)
             else:  # avg
                 reduced = np.add.reduceat(vals, starts) / counts
-            if integral:
-                agg_col = ItemColumn.from_ints(reduced.astype(np.int64))
-            else:
-                agg_col = ItemColumn.from_doubles(reduced)
+            agg_col = ItemColumn.from_doubles(reduced)
+            if integral.any():
+                agg_col.kinds[integral] = K_INT
+                agg_col.data[integral] = reduced[integral].astype(np.int64)
     elif node.kind == "str_join":
         col = table.item(node.arg).take(order_idx)
         sids = it.to_string_ids(col, ctx.pool)

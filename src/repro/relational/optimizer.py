@@ -43,6 +43,11 @@ without an order column, ϱ with ambiguous ties — see
 :func:`_order_sensitive`).  The plan-equivalence test corpus guards all
 of it end to end.
 
+Each :func:`optimize` call shares one :class:`PlanAnalysis` among its
+passes — topological orders, schemas, estimates, structural classes —
+which stays exact across passes and rounds because plan nodes are
+immutable and passes return what they leave alone unchanged.
+
 :func:`optimize` additionally selects between three planning strategies
 (:data:`OPTIMIZER_MODES`): ``cost`` runs the default pipeline above to a
 fixpoint; ``greedy`` runs one round of the three highest-impact passes
@@ -67,15 +72,21 @@ from repro.relational import algebra as alg
 # --------------------------------------------------------------------------
 # static schema inference
 # --------------------------------------------------------------------------
-def schema_of(op: alg.Op, memo: dict[int, tuple[str, ...]] | None = None) -> tuple[str, ...]:
-    """Infer the output schema of a plan node (column names)."""
+def schema_of(
+    op: alg.Op, memo: dict[alg.Op, tuple[str, ...]] | None = None
+) -> tuple[str, ...]:
+    """Infer the output schema of a plan node (column names).
+
+    ``memo`` is keyed by the operator objects themselves (operators hash
+    by identity), so it can be shared by every plan that reuses a node.
+    """
     if memo is None:
         memo = {}
-    cached = memo.get(id(op))
+    cached = memo.get(op)
     if cached is not None:
         return cached
     result = _schema(op, memo)
-    memo[id(op)] = result
+    memo[op] = result
     return result
 
 
@@ -113,13 +124,13 @@ def _schema(op: alg.Op, memo) -> tuple[str, ...]:
     raise AlgebraError(f"cannot infer schema of {type(op).__name__}")
 
 
-def _item_cols_of(op: alg.Op, memo: dict[int, frozenset]) -> frozenset:
+def _item_cols_of(op: alg.Op, memo: dict[alg.Op, frozenset]) -> frozenset:
     """Which output columns are polymorphic item columns (best effort)."""
-    cached = memo.get(id(op))
+    cached = memo.get(op)
     if cached is not None:
         return cached
     result = _item_cols(op, memo)
-    memo[id(op)] = result
+    memo[op] = result
     return result
 
 
@@ -316,20 +327,20 @@ class CardinalityEstimator:
 _MAX_UNIQUE_SETS = 8
 
 
-def _unique_sets(op: alg.Op, memo: dict[int, frozenset]) -> frozenset:
+def _unique_sets(op: alg.Op, memo: dict[alg.Op, frozenset]) -> frozenset:
     """Column sets on which ``op``'s output rows are provably unique.
 
     The empty set means the relation has at most one row (then every key
     set is trivially unique).  Best-effort and capped: missing facts are
     always safe, they only make ``distinct_elim`` fire less.
     """
-    cached = memo.get(id(op))
+    cached = memo.get(op)
     if cached is not None:
         return cached
     # deterministic truncation: prefer the most general (smallest) facts
     ordered = sorted(_unique(op, memo), key=lambda s: (len(s), sorted(s)))
     result = frozenset(ordered[:_MAX_UNIQUE_SETS])
-    memo[id(op)] = result
+    memo[op] = result
     return result
 
 
@@ -394,6 +405,100 @@ def _unique(op: alg.Op, memo) -> frozenset:
                 out |= set(rsets)
         return frozenset(out)
     return frozenset()
+
+
+# --------------------------------------------------------------------------
+# shared plan analysis (one per optimize() call)
+# --------------------------------------------------------------------------
+class PlanAnalysis:
+    """Everything the passes of one :func:`optimize` call learn about plans.
+
+    Plan nodes are immutable, so a fact about a node — its schema, item
+    columns, uniqueness facts, estimated rows, structural class — holds
+    for as long as the node exists, across every pass and fixpoint round,
+    and a plan's topological order is keyed by its root.  Passes
+    preserve the identity of what they leave alone (a pass that fires no
+    rewrite returns its input root), so later passes and rounds find
+    most answers here instead of recomputing them.
+
+    Every memo is keyed by the operator objects themselves, which also
+    keeps the nodes alive while the analysis lives: an ``id()``-keyed
+    memo could hand a dead node's answer to a new node that reused its
+    address.
+    """
+
+    def __init__(self, estimator: CardinalityEstimator):
+        #: the cardinality estimator (its ``estimate`` is the traced hook)
+        self.estimator = estimator
+        self._orders: dict[alg.Op, list[alg.Op]] = {}
+        self._schemas: dict[alg.Op, tuple[str, ...]] = {}
+        self._items: dict[alg.Op, frozenset] = {}
+        self._unique: dict[alg.Op, frozenset] = {}
+        self._estimates: dict = {}
+        #: node → structural class id; struct key → class id (hash consing)
+        self._class_of: dict[alg.Op, int] = {}
+        self._classes: dict[tuple, int] = {}
+
+    def order(self, root: alg.Op) -> list[alg.Op]:
+        """The plan's distinct nodes, children before parents."""
+        order = self._orders.get(root)
+        if order is None:
+            order = self._orders[root] = alg.walk(root)
+        return order
+
+    def op_count(self, root: alg.Op) -> int:
+        """Number of distinct operators of the plan."""
+        return len(self.order(root))
+
+    def parent_counts(self, root: alg.Op) -> dict[alg.Op, int]:
+        """Number of consumers of each node within the plan (a new dict)."""
+        counts: dict[alg.Op, int] = {}
+        for node in self.order(root):
+            for child in node.children:
+                counts[child] = counts.get(child, 0) + 1
+        return counts
+
+    def schema(self, op: alg.Op) -> tuple[str, ...]:
+        """Output columns of ``op`` (:func:`schema_of`)."""
+        cached = self._schemas.get(op)
+        return cached if cached is not None else schema_of(op, self._schemas)
+
+    def item_cols(self, op: alg.Op) -> frozenset:
+        """Polymorphic item columns of ``op``."""
+        return _item_cols_of(op, self._items)
+
+    def unique_sets(self, op: alg.Op) -> frozenset:
+        """Column sets on which ``op``'s rows are provably unique."""
+        return _unique_sets(op, self._unique)
+
+    def estimate(self, op: alg.Op) -> float:
+        """Estimated output rows of ``op``."""
+        cached = self._estimates.get(op)
+        if cached is not None:
+            return cached
+        return self.estimator.estimate(op, self._estimates)
+
+    def class_id(self, node: alg.Op) -> int:
+        """The structural class of ``node``: equal ids ⇔ identical
+        subplans (as trees).  The children's classes must be known —
+        visit nodes children-first, as :meth:`order` lists them."""
+        cid = self._class_of.get(node)
+        if cid is None:
+            key = node.struct_key(tuple(self._class_of[c] for c in node.children))
+            cid = self._classes.setdefault(key, len(self._classes))
+            self._class_of[node] = cid
+        return cid
+
+    def fingerprint(self, root: alg.Op) -> int:
+        """A structural fingerprint of the plan (fixpoint detection).
+
+        Exact, not a hash: two plans seen by this analysis have equal
+        fingerprints iff they are structurally identical.
+        """
+        class_id = self.class_id
+        for node in self.order(root):
+            class_id(node)
+        return self._class_of[root]
 
 
 # --------------------------------------------------------------------------
@@ -462,14 +567,20 @@ class OptimizerStats:
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class RewritePass:
-    """A named, stats-reporting transform over the algebra DAG."""
+    """A named, stats-reporting transform over the algebra DAG.
+
+    Contract: a run that fires no rewrite returns its input root object
+    itself, and a rewritten plan shares every node the pass left alone —
+    that identity is what lets the :class:`PlanAnalysis` memos carry over
+    from pass to pass.
+    """
 
     #: registry name (what ``disabled=`` and the CLI refer to)
     name: str
     #: one-line description (docs, ``--explain`` output)
     description: str
-    #: the transform: ``(root, estimator) → (new_root, rewrites_fired)``
-    fn: Callable[[alg.Op, "CardinalityEstimator"], tuple[alg.Op, int]]
+    #: the transform: ``(root, analysis) → (new_root, rewrites_fired)``
+    fn: Callable[[alg.Op, PlanAnalysis], tuple[alg.Op, int]]
 
 
 _MAX_ROUNDS = 10
@@ -562,14 +673,15 @@ def optimize(
         )
     collect = stats is not None
     estimates = mode != "greedy"
-    est = estimator if estimator is not None else CardinalityEstimator()
+    # one analysis for the whole run: every node a pass leaves in place
+    # keeps its cached facts, and an unchanged plan its order
+    analysis = PlanAnalysis(
+        estimator if estimator is not None else CardinalityEstimator()
+    )
     active = [p for p in pipeline if p.name not in set(disabled)]
     post_active = [p for p in post if p.name not in set(disabled)]
     per = {p.name: PassStats(p.name) for p in (*active, *post_active)}
-    # one object-keyed estimate memo for the whole run: shared subtrees
-    # surviving a pass keep their cached estimates
-    est_memo: dict = {}
-    cur_ops = alg.op_count(root) if collect else 0
+    cur_ops = analysis.op_count(root) if collect else 0
     if collect:
         stats.ops_before = cur_ops
 
@@ -580,25 +692,26 @@ def optimize(
             if ps.runs == 0:
                 ps.ops_before = cur_ops
         t0 = time.perf_counter()
-        new_root, fired = p.fn(root, est)
+        new_root, fired = p.fn(root, analysis)
         elapsed = time.perf_counter() - t0
         if collect:
             ps.runs += 1
             ps.rewrites += fired
             ps.seconds += elapsed
             if fired:
-                cur_ops = alg.op_count(new_root)
+                cur_ops = analysis.op_count(new_root)
             ps.ops_after = cur_ops
             if estimates:
-                ps.est_rows = est.estimate(new_root, est_memo)
+                ps.est_rows = analysis.estimate(new_root)
         if trace is not None and fired and new_root is not root:
             trace.append((p.name, new_root))
         root = new_root
 
     rounds = 0
-    fingerprint = _fingerprint(root) if estimates else None
+    fingerprint = analysis.fingerprint(root) if estimates else None
     for i in range(_MAX_ROUNDS):
         rounds = i + 1
+        start = root
         for p in active:
             _apply(p)
         if not estimates:
@@ -606,7 +719,9 @@ def optimize(
             # one shot and execution-time early termination on empty
             # intermediates covers what a second round would have won
             break
-        next_fingerprint = _fingerprint(root)
+        if root is start:
+            break  # no pass rewrote anything (the identity contract)
+        next_fingerprint = analysis.fingerprint(root)
         if next_fingerprint == fingerprint:
             break
         fingerprint = next_fingerprint
@@ -616,64 +731,58 @@ def optimize(
         _apply(p)
     if collect:
         stats.passes = rounds
-        stats.ops_after = alg.op_count(root)
+        stats.ops_after = analysis.op_count(root)
         stats.pass_stats = list(per.values())
         if estimates:
-            stats.estimated_rows = est.estimate(root, est_memo)
+            stats.estimated_rows = analysis.estimate(root)
     return root
 
 
-def _fingerprint(root: alg.Op) -> tuple:
-    """A structural fingerprint of the DAG (fixpoint detection).
-
-    Exact, not a hash: two fingerprints compare equal iff the canonical
-    key sets (and the root's canonical id) are identical.
-    """
-    canon: dict[tuple, int] = {}
-    ids: dict[int, int] = {}
-    for node in alg.walk(root):
-        key = node.struct_key(tuple(ids[id(c)] for c in node.children))
-        ids[id(node)] = canon.setdefault(key, len(canon))
-    return (ids[id(root)], frozenset(canon))
-
-
-def _rewrite_bottom_up(root: alg.Op, rewrite_one) -> tuple[alg.Op, int]:
+def _rewrite_bottom_up(
+    root: alg.Op, analysis: PlanAnalysis, rewrite_one
+) -> tuple[alg.Op, int]:
     """Shared pass skeleton: rebuild the DAG children-first, offering
     every node to ``rewrite_one(node) -> Op | None``; counts the nodes it
     rewrote.  New passes usually only need a ``rewrite_one``."""
-    rebuilt: dict[int, alg.Op] = {}
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
+    for node in analysis.order(root):
+        new = _rebuilt(node, rebuilt)
         replacement = rewrite_one(new)
         if replacement is not None and replacement is not new:
             new = replacement
             fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+        rebuilt[node] = new
+    return rebuilt[root], fired
 
 
 # --------------------------------------------------------------------------
 # pass: common subexpression elimination (hash consing)
 # --------------------------------------------------------------------------
-def _cse(root: alg.Op, est) -> tuple[alg.Op, int]:
-    canon: dict[tuple, alg.Op] = {}
-    rebuilt: dict[int, alg.Op] = {}
+def _cse(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
+    # the first node of each structural class (children-first order)
+    # represents it; rebuilt children are representatives, so a class
+    # id decides exactly what a key over the children's identities would
+    canon: dict[int, alg.Op] = {}
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        child_ids = tuple(id(rebuilt[id(c)]) for c in node.children)
-        new_children = tuple(rebuilt[id(c)] for c in node.children)
-        candidate = _with_children(node, new_children)
-        key = candidate.struct_key(child_ids)
-        existing = canon.get(key)
-        if existing is None:
-            canon[key] = candidate
-            rebuilt[id(node)] = candidate
-        else:
-            rebuilt[id(node)] = existing
+    for node in analysis.order(root):
+        candidate = _rebuilt(node, rebuilt)
+        existing = canon.setdefault(analysis.class_id(candidate), candidate)
+        if existing is not candidate:
             fired += 1
-    return rebuilt[id(root)], fired
+        rebuilt[node] = existing
+    return rebuilt[root], fired
+
+
+def _rebuilt(node: alg.Op, rebuilt: dict[alg.Op, alg.Op]) -> alg.Op:
+    """``node`` over the rebuilt versions of its children — ``node``
+    itself when none of them changed (the pass identity contract)."""
+    children = node.children
+    if not children:
+        return node
+    new = tuple([rebuilt[c] for c in children])
+    return node if new == children else _with_children(node, new)
 
 
 def _with_children(node: alg.Op, children: tuple[alg.Op, ...]) -> alg.Op:
@@ -733,17 +842,15 @@ def _is_empty_lit(op: alg.Op) -> bool:
     return isinstance(op, alg.Lit) and not op.rows
 
 
-def _empty_like(op: alg.Op) -> alg.Lit:
-    memo: dict[int, tuple[str, ...]] = {}
-    imemo: dict[int, frozenset] = {}
-    return alg.Lit(schema_of(op, memo), (), _item_cols_of(op, imemo))
+def _empty_like(op: alg.Op, analysis: PlanAnalysis) -> alg.Lit:
+    return alg.Lit(analysis.schema(op), (), analysis.item_cols(op))
 
 
-def _fold(root: alg.Op, est) -> tuple[alg.Op, int]:
-    return _rewrite_bottom_up(root, _fold_one)
+def _fold(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
+    return _rewrite_bottom_up(root, analysis, lambda n: _fold_one(n, analysis))
 
 
-def _fold_one(node: alg.Op) -> alg.Op:
+def _fold_one(node: alg.Op, analysis: PlanAnalysis) -> alg.Op:
     # constructors have side effects; never fold them away
     if isinstance(node, (alg.ElemConstr, alg.TextConstr, alg.AttrConstr)):
         return node
@@ -780,7 +887,7 @@ def _fold_one(node: alg.Op) -> alg.Op:
                 return alg.Lit(first.schema, rows, first.item_cols)
     if isinstance(node, (alg.Map, alg.RowNum, alg.Distinct, alg.Atomize)):
         if _is_empty_lit(node.child):
-            return _empty_like(node)
+            return _empty_like(node, analysis)
     if isinstance(node, alg.Map):
         child = node.child
         if isinstance(child, alg.Lit):
@@ -801,12 +908,9 @@ def _fold_one(node: alg.Op) -> alg.Op:
             return alg.Lit(
                 (node.iter_col, node.item_col), (), frozenset({node.item_col})
             )
-    if isinstance(node, (alg.Join, alg.Cross)):
+    if isinstance(node, (alg.Join, alg.Cross, alg.SemiJoin)):
         if _is_empty_lit(node.left) or _is_empty_lit(node.right):
-            return _empty_like(node)
-    if isinstance(node, alg.SemiJoin):
-        if _is_empty_lit(node.left) or _is_empty_lit(node.right):
-            return _empty_like(node)
+            return _empty_like(node, analysis)
     if isinstance(node, alg.Difference):
         if _is_empty_lit(node.left):
             return node.left
@@ -922,7 +1026,7 @@ _CMP_FNS = frozenset({"eq", "ne", "lt", "le", "gt", "ge"})
 _CMP_NEGATED = {"eq": "ne", "ne": "eq"}
 
 
-def _fuse_select(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _fuse_select(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Rewrite ``σ (t = true) ∘ ⊛ t:cmp(a, b)`` into ``⊛ t ∘ σ a cmp b``.
 
     Loop-lifting funnels every comparison through a ⊛ that materialises a
@@ -933,7 +1037,7 @@ def _fuse_select(root: alg.Op, est) -> tuple[alg.Op, int]:
     pushdown and join recognition.  Both paths evaluate comparisons with
     the same general-comparison kernel, so the rewrite is exact.
     """
-    return _rewrite_bottom_up(root, _fuse_one)
+    return _rewrite_bottom_up(root, analysis, _fuse_one)
 
 
 def _fuse_one(node: alg.Op) -> alg.Op | None:
@@ -961,15 +1065,7 @@ def _fuse_one(node: alg.Op) -> alg.Op | None:
 # --------------------------------------------------------------------------
 # pass: selection / semijoin pushdown
 # --------------------------------------------------------------------------
-def _parent_counts(root: alg.Op) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for node in alg.walk(root):
-        for child in node.children:
-            counts[id(child)] = counts.get(id(child), 0) + 1
-    return counts
-
-
-def _pushdown(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _pushdown(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Move σ and ⋉ filters below operators they don't depend on.
 
     A filter constrains a set of columns; whenever its immediate child
@@ -984,36 +1080,34 @@ def _pushdown(root: alg.Op, est) -> tuple[alg.Op, int]:
     evaluated for its other parents) except through π/σ, which cost
     nothing to duplicate.
     """
-    counts = _parent_counts(root)
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    rebuilt: dict[int, alg.Op] = {}
+    counts = analysis.parent_counts(root)
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
+    for node in analysis.order(root):
+        new = _rebuilt(node, rebuilt)
         if isinstance(new, alg.Select):
             filt = ("select", new.op, new.lhs, new.rhs)
-            sunk = _sink(filt, new.child, counts, schema_memo)
+            sunk = _sink(filt, new.child, counts, analysis)
             if sunk is not None:
                 new = sunk
                 fired += 1
         elif isinstance(new, alg.SemiJoin):
             filt = ("semi", new.right, new.keys)
-            sunk = _sink(filt, new.left, counts, schema_memo)
+            sunk = _sink(filt, new.left, counts, analysis)
             if sunk is not None:
                 new = sunk
                 fired += 1
         elif isinstance(new, (alg.Map, alg.Atomize)):
-            sunk = _sink_map(new, counts, schema_memo)
+            sunk = _sink_map(new, counts, analysis)
             if sunk is not None:
                 new = sunk
                 fired += 1
-        if id(new) not in counts:
+        if new not in counts:
             # the rewritten node inherits the original's parent count, so
             # later filters see sunk subtrees shared by several parents
-            counts[id(new)] = counts.get(id(node), 1)
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+            counts[new] = counts.get(node, 1)
+        rebuilt[node] = new
+    return rebuilt[root], fired
 
 
 def _filter_cols(filt) -> frozenset:
@@ -1047,12 +1141,12 @@ def _attach(filt, node: alg.Op) -> alg.Op:
     return alg.SemiJoin(node, right, keys)
 
 
-def _sink_or_attach(filt, node, counts, memo, shared: bool) -> alg.Op:
-    sunk = _sink(filt, node, counts, memo, shared)
+def _sink_or_attach(filt, node, counts, analysis, shared: bool) -> alg.Op:
+    sunk = _sink(filt, node, counts, analysis, shared)
     return sunk if sunk is not None else _attach(filt, node)
 
 
-def _sink(filt, x: alg.Op, counts, memo, shared: bool = False) -> alg.Op | None:
+def _sink(filt, x: alg.Op, counts, analysis, shared: bool = False) -> alg.Op | None:
     """Push ``filt`` below ``x``; returns the new subtree or None.
 
     ``shared`` is True once the descent has passed through any node with
@@ -1064,7 +1158,7 @@ def _sink(filt, x: alg.Op, counts, memo, shared: bool = False) -> alg.Op | None:
     cols = _filter_cols(filt)
     if not cols:
         return None
-    shared = shared or counts.get(id(x), 1) > 1
+    shared = shared or counts.get(x, 1) > 1
     if shared and not isinstance(x, (alg.Project, alg.Select)):
         return None  # don't duplicate shared, non-trivial subplans
     if isinstance(x, alg.Project):
@@ -1073,88 +1167,88 @@ def _sink(filt, x: alg.Op, counts, memo, shared: bool = False) -> alg.Op | None:
             return None
         inner = _filter_rename(filt, mapping)
         return alg.Project(
-            _sink_or_attach(inner, x.child, counts, memo, shared), x.cols
+            _sink_or_attach(inner, x.child, counts, analysis, shared), x.cols
         )
     if isinstance(x, alg.Select):
         # only worthwhile when the filter makes it below the inner σ too
         # (a bare σ/σ swap would oscillate between rounds)
-        body = _sink(filt, x.child, counts, memo, shared)
+        body = _sink(filt, x.child, counts, analysis, shared)
         if body is None:
             return None
         return alg.Select(body, x.op, x.lhs, x.rhs)
     if isinstance(x, alg.Union):
         return alg.Union(
-            tuple(_sink_or_attach(filt, b, counts, memo, shared) for b in x.inputs)
+            tuple(_sink_or_attach(filt, b, counts, analysis, shared) for b in x.inputs)
         )
     if isinstance(x, (alg.Join, alg.Cross)):
-        lschema = frozenset(schema_of(x.left, memo))
-        rschema = frozenset(schema_of(x.right, memo))
+        lschema = frozenset(analysis.schema(x.left))
+        rschema = frozenset(analysis.schema(x.right))
         if cols <= lschema:
-            left = _sink_or_attach(filt, x.left, counts, memo, shared)
+            left = _sink_or_attach(filt, x.left, counts, analysis, shared)
             if isinstance(x, alg.Join):
                 return alg.Join(left, x.right, x.keys)
             return alg.Cross(left, x.right)
         if cols <= rschema:
-            right = _sink_or_attach(filt, x.right, counts, memo, shared)
+            right = _sink_or_attach(filt, x.right, counts, analysis, shared)
             if isinstance(x, alg.Join):
                 return alg.Join(x.left, right, x.keys)
             return alg.Cross(x.left, right)
         return None
     if isinstance(x, alg.SemiJoin):
-        left = _sink_or_attach(filt, x.left, counts, memo, shared)
+        left = _sink_or_attach(filt, x.left, counts, analysis, shared)
         return alg.SemiJoin(left, x.right, x.keys)
     if isinstance(x, alg.Difference):
-        left = _sink_or_attach(filt, x.left, counts, memo, shared)
+        left = _sink_or_attach(filt, x.left, counts, analysis, shared)
         return alg.Difference(left, x.right, x.keys)
     if isinstance(x, (alg.Map, alg.Atomize)):
         if x.target in cols:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
+        child = _sink_or_attach(filt, x.child, counts, analysis, shared)
         return _with_children(x, (child,))
     if isinstance(x, alg.RowNum):
         # whole iterations (= ϱ groups) may be filtered without renumbering
         if x.group is None or not cols <= {x.group} or x.target in cols:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
+        child = _sink_or_attach(filt, x.child, counts, analysis, shared)
         return alg.RowNum(child, x.target, x.order, x.group)
     if isinstance(x, alg.Aggr):
         if x.group is None or not cols <= {x.group}:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
+        child = _sink_or_attach(filt, x.child, counts, analysis, shared)
         return alg.Aggr(
             child, x.kind, x.target, x.arg, x.group, x.sep, x.order_col
         )
     if isinstance(x, alg.Distinct):
         if not cols <= set(x.keys):
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
+        child = _sink_or_attach(filt, x.child, counts, analysis, shared)
         return alg.Distinct(child, x.keys, x.order_col)
     if isinstance(x, alg.StepJoin):
         if not cols <= {x.iter_col}:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
+        child = _sink_or_attach(filt, x.child, counts, analysis, shared)
         return alg.StepJoin(child, x.axis, x.test, x.iter_col, x.item_col)
     if isinstance(x, alg.StructuralTwigJoin):
         if not cols <= {x.iter_col}:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
+        child = _sink_or_attach(filt, x.child, counts, analysis, shared)
         return alg.StructuralTwigJoin(child, x.steps, x.iter_col, x.item_col)
     if isinstance(x, alg.GenRange):
         if not cols <= {"iter"}:
             return None
-        child = _sink_or_attach(filt, x.child, counts, memo, shared)
+        child = _sink_or_attach(filt, x.child, counts, analysis, shared)
         return alg.GenRange(child, x.lo_col, x.hi_col)
     return None
 
 
-def _sink_map(m, counts, memo) -> alg.Op | None:
+def _sink_map(m, counts, analysis) -> alg.Op | None:
     """Push a ⊛/atomize below ∪ (per branch) or × (onto the side that
     holds its operands), where it runs over fewer rows and may reach a
     literal table that ``fold`` can evaluate at compile time."""
     x = m.child
-    if counts.get(id(x), 1) > 1:
+    if counts.get(x, 1) > 1:
         return None
-    if m.target in schema_of(x, memo):
+    if m.target in analysis.schema(x):
         return None  # overwrite semantics: leave in place
     args = (
         frozenset({m.arg})
@@ -1165,19 +1259,19 @@ def _sink_map(m, counts, memo) -> alg.Op | None:
         branches = []
         for b in x.inputs:
             mb = _with_children(m, (b,))
-            sunk = _sink_map(mb, counts, memo)
+            sunk = _sink_map(mb, counts, analysis)
             branches.append(sunk if sunk is not None else mb)
         return alg.Union(tuple(branches))
     if isinstance(x, alg.Cross):
-        lschema = frozenset(schema_of(x.left, memo))
-        rschema = frozenset(schema_of(x.right, memo))
+        lschema = frozenset(analysis.schema(x.left))
+        rschema = frozenset(analysis.schema(x.right))
         if args <= lschema:
             ml = _with_children(m, (x.left,))
-            sunk = _sink_map(ml, counts, memo)
+            sunk = _sink_map(ml, counts, analysis)
             return alg.Cross(sunk if sunk is not None else ml, x.right)
         if args <= rschema:
             mr = _with_children(m, (x.right,))
-            sunk = _sink_map(mr, counts, memo)
+            sunk = _sink_map(mr, counts, analysis)
             return alg.Cross(x.left, sunk if sunk is not None else mr)
     return None
 
@@ -1185,7 +1279,7 @@ def _sink_map(m, counts, memo) -> alg.Op | None:
 # --------------------------------------------------------------------------
 # pass: join recognition (σ= over × / ⋈ becomes an equi-join key)
 # --------------------------------------------------------------------------
-def _join_recognition(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _join_recognition(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Turn ``σ (a = b)`` over × into ⋈, or add a key to an existing ⋈.
 
     Sound only for plain numeric columns: equality of item columns
@@ -1195,14 +1289,12 @@ def _join_recognition(root: alg.Op, est) -> tuple[alg.Op, int]:
     order: the sort-merge join emits matches left-major with ties in
     right order, which is precisely the filtered cross product.
     """
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    item_memo: dict[int, frozenset] = {}
     return _rewrite_bottom_up(
-        root, lambda new: _join_rec_one(new, schema_memo, item_memo)
+        root, analysis, lambda new: _join_rec_one(new, analysis)
     )
 
 
-def _join_rec_one(node: alg.Op, schema_memo, item_memo) -> alg.Op | None:
+def _join_rec_one(node: alg.Op, analysis: PlanAnalysis) -> alg.Op | None:
     if not isinstance(node, alg.Select) or node.op != "eq":
         return None
     child = node.child
@@ -1211,11 +1303,11 @@ def _join_rec_one(node: alg.Op, schema_memo, item_memo) -> alg.Op | None:
     if node.lhs[0] != "col" or node.rhs[0] != "col":
         return None
     a, b = node.lhs[1], node.rhs[1]
-    items = _item_cols_of(child, item_memo)
+    items = analysis.item_cols(child)
     if a in items or b in items:
         return None
-    lschema = frozenset(schema_of(child.left, schema_memo))
-    rschema = frozenset(schema_of(child.right, schema_memo))
+    lschema = analysis.schema(child.left)
+    rschema = analysis.schema(child.right)
     if a in lschema and b in rschema:
         key = (a, b)
     elif b in lschema and a in rschema:
@@ -1229,7 +1321,7 @@ def _join_rec_one(node: alg.Op, schema_memo, item_memo) -> alg.Op | None:
 # --------------------------------------------------------------------------
 # pass: redundant distinct elimination
 # --------------------------------------------------------------------------
-def _distinct_elim(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _distinct_elim(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Drop δ whose input is provably duplicate-free on its keys.
 
     The staircase join's post-condition — output duplicate-free and
@@ -1237,53 +1329,50 @@ def _distinct_elim(root: alg.Op, est) -> tuple[alg.Op, int]:
     uniqueness facts of :func:`_unique_sets` generalise it through π
     renames, filters, row numbering and key joins.
     """
-    unique_memo: dict[int, frozenset] = {}
 
     def elim(new: alg.Op) -> alg.Op | None:
         if not isinstance(new, alg.Distinct):
             return None
         keys = frozenset(new.keys)
-        if any(u <= keys for u in _unique_sets(new.child, unique_memo)):
+        if any(u <= keys for u in analysis.unique_sets(new.child)):
             return new.child
         return None
 
-    return _rewrite_bottom_up(root, elim)
+    return _rewrite_bottom_up(root, analysis, elim)
 
 
 # --------------------------------------------------------------------------
 # pass: projection pruning (icols)
 # --------------------------------------------------------------------------
-def _prune(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _prune(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Required-column (icols) pruning in two passes.
 
     Pass 1 walks parents-before-children accumulating, per node, the union
     of the columns its parents need.  Pass 2 rebuilds each node exactly
     once against its accumulated requirement — shared subplans stay shared
-    (pruning per parent would duplicate them).
+    (pruning per parent would duplicate them), and a node that loses no
+    column and keeps its children is returned as is.
     """
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    required = frozenset(schema_of(root, schema_memo))
+    required = frozenset(analysis.schema(root))
     # pass 1: accumulate requirements top-down in reverse topological order
-    topo = list(alg.walk(root))  # children before parents
-    req: dict[int, frozenset] = {id(root): required}
+    topo = analysis.order(root)  # children before parents
+    req: dict[alg.Op, frozenset] = {root: required}
     for node in reversed(topo):
-        node_req = req.get(id(node), frozenset())
-        node_req &= frozenset(schema_of(node, schema_memo))
-        req[id(node)] = node_req
-        for child, child_req in _child_requirements(node, node_req, schema_memo):
-            req[id(child)] = req.get(id(child), frozenset()) | child_req
+        node_req = req.get(node, frozenset())
+        node_req &= frozenset(analysis.schema(node))
+        req[node] = node_req
+        for child, child_req in _child_requirements(node, node_req, analysis):
+            req[child] = req.get(child, frozenset()) | child_req
     # pass 2: rebuild bottom-up
     fired = [0]
-    rebuilt: dict[int, alg.Op] = {}
+    rebuilt: dict[alg.Op, alg.Op] = {}
     for node in topo:
-        rebuilt[id(node)] = _prune_rewrite(
-            node, req[id(node)], rebuilt, schema_memo, fired
-        )
+        rebuilt[node] = _prune_rewrite(node, req[node], rebuilt, analysis, fired)
     # the root must deliver exactly its original schema
-    return _restrict(rebuilt[id(root)], required, schema_memo), fired[0]
+    return _restrict(rebuilt[root], required, analysis, fired), fired[0]
 
 
-def _child_requirements(op, required, schema_memo):
+def _child_requirements(op, required, analysis: PlanAnalysis):
     """Which columns each child must deliver for ``op`` to produce
     ``required`` (mirrors the construction rules of ``_prune_rewrite``)."""
     if isinstance(op, alg.Lit):
@@ -1304,19 +1393,21 @@ def _child_requirements(op, required, schema_memo):
     if isinstance(op, (alg.Join, alg.SemiJoin)):
         lkeys = frozenset(l for l, _ in op.keys)
         rkeys = frozenset(r for _, r in op.keys)
-        lschema = frozenset(schema_of(op.left, schema_memo))
+        lschema = frozenset(analysis.schema(op.left))
         out = [(op.left, (required & lschema) | lkeys)]
         if isinstance(op, alg.SemiJoin):
             out.append((op.right, rkeys))
         else:
-            rschema = frozenset(schema_of(op.right, schema_memo))
+            rschema = frozenset(analysis.schema(op.right))
             out.append((op.right, (required & rschema) | rkeys))
         return out
     if isinstance(op, alg.Cross):
-        lschema = frozenset(schema_of(op.left, schema_memo))
-        rschema = frozenset(schema_of(op.right, schema_memo))
-        lreq = (required & lschema) or frozenset(list(lschema)[:1])
-        rreq = (required & rschema) or frozenset(list(rschema)[:1])
+        lschema = analysis.schema(op.left)
+        rschema = analysis.schema(op.right)
+        # a side nothing needs still keeps one column (its first, in
+        # schema order: set order would vary with the string hash seed)
+        lreq = (required & frozenset(lschema)) or frozenset(lschema[:1])
+        rreq = (required & frozenset(rschema)) or frozenset(rschema[:1])
         return [(op.left, lreq), (op.right, rreq)]
     if isinstance(op, alg.RowNum):
         if op.target not in required:
@@ -1336,24 +1427,24 @@ def _child_requirements(op, required, schema_memo):
     if isinstance(op, alg.Aggr):
         child_req = frozenset(filter(None, (op.arg, op.group, op.order_col)))
         if not child_req:
-            child_req = frozenset(schema_of(op.child, schema_memo)[:1])
+            child_req = frozenset(analysis.schema(op.child)[:1])
         return [(op.child, child_req)]
     if isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
         return [(op.child, frozenset({op.iter_col, op.item_col}))]
     if isinstance(op, alg.GenRange):
         return [(op.child, frozenset({"iter", op.lo_col, op.hi_col}))]
     # constructors / DocRoot: children keep their full schemas
-    return [
-        (c, frozenset(schema_of(c, schema_memo))) for c in op.children
-    ]
+    return [(c, frozenset(analysis.schema(c))) for c in op.children]
 
 
-def _restrict(op: alg.Op, required: frozenset, schema_memo) -> alg.Op:
-    """Wrap ``op`` in a projection keeping only ``required`` columns."""
-    schema = schema_of(op, schema_memo)
+def _restrict(op: alg.Op, required: frozenset, analysis: PlanAnalysis, fired) -> alg.Op:
+    """Wrap ``op`` in a projection keeping only ``required`` columns (a
+    rewrite like any other: it changes the plan)."""
+    schema = analysis.schema(op)
     keep = tuple(c for c in schema if c in required)
     if keep == schema:
         return op
+    fired[0] += 1
     return alg.Project(op, tuple((c, c) for c in keep))
 
 
@@ -1361,11 +1452,9 @@ def _operand_cols(*operands) -> frozenset:
     return frozenset(v for tag, v in operands if tag == "col")
 
 
-def _prune_rewrite(op, required, rebuilt, schema_memo, fired):
-    # children were already pruned against their accumulated requirements
-    def rec(child, req):
-        return rebuilt[id(child)]
-
+def _prune_rewrite(op, required, rebuilt, analysis: PlanAnalysis, fired):
+    # children were already pruned against their accumulated requirements;
+    # _with_children keeps ``op`` itself when none of them changed
     if isinstance(op, alg.Lit):
         keep = tuple(c for c in op.schema if c in required) or op.schema[:1]
         if keep == op.schema:
@@ -1379,117 +1468,50 @@ def _prune_rewrite(op, required, rebuilt, schema_memo, fired):
         cols = tuple((new, old) for new, old in op.cols if new in required)
         if not cols:
             cols = op.cols[:1]
-        if cols != op.cols:
-            fired[0] += 1
-        child_req = frozenset(old for _, old in cols)
-        child = rec(op.child, child_req)
+        child = rebuilt[op.child]
+        if cols == op.cols:
+            return _with_children(op, (child,))
+        fired[0] += 1
         return alg.Project(child, cols)
 
     # NB: downstream of here, operators are allowed to deliver *more*
     # columns than required — extra columns are cut at the next enclosing
     # projection.  Only Union branches and Difference/SemiJoin right sides
     # need exact schemas, and they get explicit restrictions.
-    if isinstance(op, alg.Select):
-        child_req = required | _operand_cols(op.lhs, op.rhs)
-        child = rec(op.child, child_req)
-        return alg.Select(child, op.op, op.lhs, op.rhs)
-
     if isinstance(op, alg.Union):
         inputs = tuple(
-            _restrict(rec(i, required), required, schema_memo) for i in op.inputs
+            _restrict(rebuilt[i], required, analysis, fired) for i in op.inputs
         )
-        return alg.Union(inputs)
+        return _with_children(op, inputs)
 
     if isinstance(op, alg.Difference):
-        keys = frozenset(op.keys)
-        left = rec(op.left, required | keys)
-        right = _restrict(rec(op.right, keys), keys, schema_memo)
-        return alg.Difference(left, right, op.keys)
+        right = _restrict(rebuilt[op.right], frozenset(op.keys), analysis, fired)
+        return _with_children(op, (rebuilt[op.left], right))
 
-    if isinstance(op, alg.Distinct):
-        keys = frozenset(op.keys)
-        extra = frozenset([op.order_col]) if op.order_col else frozenset()
-        child = rec(op.child, required | keys | extra)
-        return alg.Distinct(child, op.keys, op.order_col)
-
-    if isinstance(op, (alg.Join, alg.SemiJoin)):
-        lkeys = frozenset(l for l, _ in op.keys)
+    if isinstance(op, alg.SemiJoin):
         rkeys = frozenset(r for _, r in op.keys)
-        lschema = frozenset(schema_of(op.left, schema_memo))
-        left = rec(op.left, (required & lschema) | lkeys)
-        if isinstance(op, alg.SemiJoin):
-            right = _restrict(rec(op.right, rkeys), rkeys, schema_memo)
-            return alg.SemiJoin(left, right, op.keys)
-        rschema = frozenset(schema_of(op.right, schema_memo))
-        right = rec(op.right, (required & rschema) | rkeys)
-        return alg.Join(left, right, op.keys)
+        right = _restrict(rebuilt[op.right], rkeys, analysis, fired)
+        return _with_children(op, (rebuilt[op.left], right))
 
-    if isinstance(op, alg.Cross):
-        lschema = frozenset(schema_of(op.left, schema_memo))
-        rschema = frozenset(schema_of(op.right, schema_memo))
-        lreq = required & lschema
-        rreq = required & rschema
-        left = rec(op.left, lreq or frozenset(list(lschema)[:1]))
-        right = rec(op.right, rreq or frozenset(list(rschema)[:1]))
-        return alg.Cross(left, right)
+    if isinstance(op, (alg.RowNum, alg.Map, alg.Atomize)) and op.target not in required:
+        # a dead target: drop the operator
+        fired[0] += 1
+        return rebuilt[op.child]
 
-    if isinstance(op, alg.RowNum):
-        if op.target not in required:
-            fired[0] += 1
-            return rec(op.child, required)
-        child_req = (required - {op.target}) | frozenset(c for c, _ in op.order)
-        if op.group:
-            child_req |= {op.group}
-        child = rec(op.child, child_req)
-        return alg.RowNum(child, op.target, op.order, op.group)
-
-    if isinstance(op, alg.Map):
-        if op.target not in required:
-            fired[0] += 1
-            return rec(op.child, required)
-        child_req = (required - {op.target}) | _operand_cols(*op.args)
-        child = rec(op.child, child_req)
-        return alg.Map(child, op.fn, op.target, op.args)
-
-    if isinstance(op, alg.Atomize):
-        if op.target not in required:
-            fired[0] += 1
-            return rec(op.child, required)
-        child_req = (required - {op.target}) | {op.arg}
-        child = rec(op.child, child_req)
-        return alg.Atomize(child, op.target, op.arg)
-
-    if isinstance(op, alg.Aggr):
-        child_req = frozenset(filter(None, (op.arg, op.group, op.order_col)))
-        child = rec(op.child, child_req or frozenset(schema_of(op.child, schema_memo)[:1]))
-        return alg.Aggr(
-            child, op.kind, op.target, op.arg, op.group, op.sep, op.order_col
-        )
-
-    if isinstance(op, alg.StepJoin):
-        child = rec(op.child, frozenset({op.iter_col, op.item_col}))
-        child = _restrict(child, frozenset({op.iter_col, op.item_col}), schema_memo)
-        return alg.StepJoin(child, op.axis, op.test, op.iter_col, op.item_col)
-
-    if isinstance(op, alg.StructuralTwigJoin):
-        child = rec(op.child, frozenset({op.iter_col, op.item_col}))
-        child = _restrict(child, frozenset({op.iter_col, op.item_col}), schema_memo)
-        return alg.StructuralTwigJoin(child, op.steps, op.iter_col, op.item_col)
-
-    if isinstance(op, alg.GenRange):
-        need = frozenset({"iter", op.lo_col, op.hi_col})
-        child = rec(op.child, need)
-        return alg.GenRange(child, op.lo_col, op.hi_col)
+    if isinstance(op, (alg.StepJoin, alg.StructuralTwigJoin)):
+        need = frozenset({op.iter_col, op.item_col})
+        child = _restrict(rebuilt[op.child], need, analysis, fired)
+        return _with_children(op, (child,))
 
     if isinstance(
         op,
-        (alg.ElemConstr, alg.TextConstr, alg.AttrConstr, alg.DocRoot, alg.ParamTable),
+        (
+            alg.Select, alg.Distinct, alg.Join, alg.Cross, alg.RowNum, alg.Map,
+            alg.Atomize, alg.Aggr, alg.GenRange, alg.ElemConstr, alg.TextConstr,
+            alg.AttrConstr, alg.DocRoot, alg.ParamTable,
+        ),
     ):
-        # children have fixed small schemas; just recurse with them
-        children = tuple(
-            rec(c, frozenset(schema_of(c, schema_memo))) for c in op.children
-        )
-        return _with_children(op, children)
+        return _rebuilt(op, rebuilt)
 
     raise AlgebraError(f"prune: unhandled op {type(op).__name__}")
 
@@ -1497,9 +1519,8 @@ def _prune_rewrite(op, required, rebuilt, schema_memo, fired):
 # --------------------------------------------------------------------------
 # pass: projection merging / identity removal
 # --------------------------------------------------------------------------
-def _merge_projects(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _merge_projects(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Collapse π ∘ π chains and remove identity projections."""
-    schema_memo: dict[int, tuple[str, ...]] = {}
 
     def merge(new: alg.Op) -> alg.Op | None:
         if not isinstance(new, alg.Project):
@@ -1511,14 +1532,14 @@ def _merge_projects(root: alg.Op, est) -> tuple[alg.Op, int]:
                 child.child, tuple((n, inner[o]) for n, o in new.cols)
             )
             child = new.child
-        child_schema = schema_of(child, schema_memo)
+        child_schema = analysis.schema(child)
         if tuple(n for n, _ in new.cols) == child_schema and all(
             n == o for n, o in new.cols
         ):
             return child
         return new
 
-    return _rewrite_bottom_up(root, merge)
+    return _rewrite_bottom_up(root, analysis, merge)
 
 
 # --------------------------------------------------------------------------
@@ -1529,8 +1550,8 @@ def _merge_projects(root: alg.Op, est) -> tuple[alg.Op, int]:
 _SWAP_RATIO = 4.0
 
 
-def _order_sensitive(root: alg.Op) -> set[int]:
-    """Ids of nodes whose *physical* row order can influence results.
+def _order_sensitive(root: alg.Op, analysis: PlanAnalysis) -> set[alg.Op]:
+    """The nodes whose *physical* row order can influence results.
 
     Most consumers are insensitive to physical order (filters preserve
     it, ϱ orders by named columns), but three are not: δ without an
@@ -1540,12 +1561,10 @@ def _order_sensitive(root: alg.Op) -> set[int]:
     group don't provably determine a unique rank (ties break by physical
     order).  Everything beneath such a consumer must keep its row order.
     """
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    unique_memo: dict[int, frozenset] = {}
     sensitive_roots: list[alg.Op] = []
-    for node in alg.walk(root):
+    for node in analysis.order(root):
         if isinstance(node, alg.Distinct) and node.order_col is None:
-            if set(node.keys) < set(schema_of(node.child, schema_memo)):
+            if set(node.keys) < set(analysis.schema(node.child)):
                 sensitive_roots.append(node.child)
         elif isinstance(node, alg.Aggr):
             if node.kind == "str_join" and node.order_col is None:
@@ -1554,22 +1573,20 @@ def _order_sensitive(root: alg.Op) -> set[int]:
             determined = frozenset(c for c, _ in node.order)
             if node.group:
                 determined |= {node.group}
-            if not any(
-                u <= determined for u in _unique_sets(node.child, unique_memo)
-            ):
+            if not any(u <= determined for u in analysis.unique_sets(node.child)):
                 sensitive_roots.append(node.child)
-    marked: set[int] = set()
+    marked: set[alg.Op] = set()
     stack = sensitive_roots
     while stack:
         n = stack.pop()
-        if id(n) in marked:
+        if n in marked:
             continue
-        marked.add(id(n))
+        marked.add(n)
         stack.extend(n.children)
     return marked
 
 
-def _join_order(root: alg.Op, est: CardinalityEstimator) -> tuple[alg.Op, int]:
+def _join_order(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Put the estimated-smaller join input on the right-hand side.
 
     The sort-merge join kernel sorts its *right* input and probes it with
@@ -1578,35 +1595,37 @@ def _join_order(root: alg.Op, est: CardinalityEstimator) -> tuple[alg.Op, int]:
     order within the join changes, so joins beneath a physical-order-
     sensitive consumer (see :func:`_order_sensitive`) are left alone.
     """
-    est_memo: dict = {}
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    sensitive = _order_sensitive(root)
+    return _reorder_joins(root, analysis, analysis.estimate)
+
+
+def _reorder_joins(root: alg.Op, analysis: PlanAnalysis, size) -> tuple[alg.Op, int]:
+    """Swap each join whose right input ``size`` ranks far larger than
+    its left, unless the join sits beneath an order-sensitive consumer."""
+    sensitive = _order_sensitive(root, analysis)
 
     def reorder(new: alg.Op) -> alg.Op | None:
         if not isinstance(new, alg.Join):
             return None
-        left_rows = est.estimate(new.left, est_memo)
-        right_rows = est.estimate(new.right, est_memo)
-        if right_rows <= _SWAP_RATIO * max(left_rows, 1.0):
+        left, right = size(new.left), size(new.right)
+        if right <= _SWAP_RATIO * max(left, 1.0):
             return None
-        original = schema_of(new, schema_memo)
+        original = analysis.schema(new)
         swapped = alg.Join(new.right, new.left, tuple((r, l) for l, r in new.keys))
         return alg.Project(swapped, tuple((c, c) for c in original))
 
-    # sensitivity is keyed by the ids of the *original* nodes, so this
-    # pass keeps its own loop instead of using _rewrite_bottom_up
-    rebuilt: dict[int, alg.Op] = {}
+    # sensitivity is a property of the *original* nodes, so this pass
+    # keeps its own loop instead of using _rewrite_bottom_up
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
-        if id(node) not in sensitive:
+    for node in analysis.order(root):
+        new = _rebuilt(node, rebuilt)
+        if node not in sensitive:
             replacement = reorder(new)
             if replacement is not None:
                 new = replacement
                 fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+        rebuilt[node] = new
+    return rebuilt[root], fired
 
 
 # --------------------------------------------------------------------------
@@ -1691,7 +1710,7 @@ def _syntax_score_of(op: alg.Op, memo) -> float:
     return rec(op.children[0])
 
 
-def _greedy_order(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _greedy_order(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Statistics-free join input ordering (the ``greedy`` mode).
 
     Same contract and safety discipline as :func:`_join_order` — swap
@@ -1701,32 +1720,7 @@ def _greedy_order(root: alg.Op, est) -> tuple[alg.Op, int]:
     statistics at all.
     """
     score_memo: dict = {}
-    schema_memo: dict[int, tuple[str, ...]] = {}
-    sensitive = _order_sensitive(root)
-
-    def reorder(new: alg.Op) -> alg.Op | None:
-        if not isinstance(new, alg.Join):
-            return None
-        left_score = _syntax_score(new.left, score_memo)
-        right_score = _syntax_score(new.right, score_memo)
-        if right_score <= _SWAP_RATIO * max(left_score, 1.0):
-            return None
-        original = schema_of(new, schema_memo)
-        swapped = alg.Join(new.right, new.left, tuple((r, l) for l, r in new.keys))
-        return alg.Project(swapped, tuple((c, c) for c in original))
-
-    rebuilt: dict[int, alg.Op] = {}
-    fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
-        if id(node) not in sensitive:
-            replacement = reorder(new)
-            if replacement is not None:
-                new = replacement
-                fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+    return _reorder_joins(root, analysis, lambda op: _syntax_score(op, score_memo))
 
 
 # --------------------------------------------------------------------------
@@ -1740,7 +1734,7 @@ _TWIG_AXES = frozenset({Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF})
 _TWIG_MIN_STEPS = 3
 
 
-def _twig_collapse(root: alg.Op, est) -> tuple[alg.Op, int]:
+def _twig_collapse(root: alg.Op, analysis: PlanAnalysis) -> tuple[alg.Op, int]:
     """Fuse chains of pairwise staircase steps into one twig join.
 
     A run of ``StepJoin`` operators where each feeds exactly the next
@@ -1752,11 +1746,11 @@ def _twig_collapse(root: alg.Op, est) -> tuple[alg.Op, int]:
     only at the *top* of a maximal chain, so bottom-up rewriting never
     collapses a partial suffix.
     """
-    counts = _parent_counts(root)
-    # ids of steps continued by (the sole input of) a chain-compatible
-    # step above them — they fold into the collapse fired at the top
-    continued: set[int] = set()
-    for node in alg.walk(root):
+    counts = analysis.parent_counts(root)
+    # steps continued by (the sole input of) a chain-compatible step
+    # above them — they fold into the collapse fired at the top
+    continued: set[alg.Op] = set()
+    for node in analysis.order(root):
         if isinstance(node, alg.StepJoin) and node.axis in _TWIG_AXES:
             c = node.child
             if (
@@ -1764,35 +1758,34 @@ def _twig_collapse(root: alg.Op, est) -> tuple[alg.Op, int]:
                 and c.axis in _TWIG_AXES
                 and c.iter_col == node.iter_col
                 and c.item_col == node.item_col
-                and counts.get(id(c), 1) == 1
+                and counts.get(c, 1) == 1
             ):
-                continued.add(id(c))
-    # chain membership is keyed by the ids of the *original* nodes, so
-    # this pass keeps its own loop instead of using _rewrite_bottom_up
-    rebuilt: dict[int, alg.Op] = {}
+                continued.add(c)
+    # chain membership is a property of the *original* nodes, so this
+    # pass keeps its own loop instead of using _rewrite_bottom_up
+    rebuilt: dict[alg.Op, alg.Op] = {}
     fired = 0
-    for node in alg.walk(root):
-        children = tuple(rebuilt[id(c)] for c in node.children)
-        new = _with_children(node, children)
+    for node in analysis.order(root):
+        new = _rebuilt(node, rebuilt)
         if (
             isinstance(node, alg.StepJoin)
             and node.axis in _TWIG_AXES
-            and id(node) not in continued
-            and id(node.child) in continued
+            and node not in continued
+            and node.child in continued
         ):
             steps = [(node.axis, node.test)]
             base = node.child
-            while id(base) in continued:
+            while base in continued:
                 steps.append((base.axis, base.test))
                 base = base.child
             if len(steps) >= _TWIG_MIN_STEPS:
                 steps.reverse()
                 new = alg.StructuralTwigJoin(
-                    rebuilt[id(base)], tuple(steps), node.iter_col, node.item_col
+                    rebuilt[base], tuple(steps), node.iter_col, node.item_col
                 )
                 fired += 1
-        rebuilt[id(node)] = new
-    return rebuilt[id(root)], fired
+        rebuilt[node] = new
+    return rebuilt[root], fired
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ result.  This catches rewrite bugs that hand-picked cases miss — the
 ``True == 1`` CSE collision was exactly this kind of bug.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.encoding.arena import NodeArena
 from repro.relational import algebra as alg
@@ -116,8 +116,24 @@ def test_optimize_preserves_semantics(plan):
     assert after_rows == before_rows
 
 
+#: σ iter=1 over a grouped sum of an integer group and a boolean group:
+#: pushdown leaves the sum only the integer group, so the result type
+#: must not depend on the other groups
+_PER_GROUP_SUM = alg.Select(
+    alg.Aggr(
+        alg.Union((
+            alg.Lit(("iter", "pos", "item"), (), frozenset({"item"})),
+            alg.Lit(("iter", "pos", "item"), ((1, 1, 0), (2, 1, False)), frozenset({"item"})),
+        )),
+        "sum", "agg", "item", "iter",
+    ),
+    "eq", col("iter"), const(1),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_plan())
+@example(_PER_GROUP_SUM)
 def test_optimizer_modes_agree(plan):
     """Mode differential: cost, greedy and wcoj may pick different plans
     for the same input but must compute the same relation."""
