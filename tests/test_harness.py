@@ -55,8 +55,12 @@ class TestReports:
         out = self._run(report.report_figure5)
         assert "110 120" in out and "operators" in out
 
-    def test_optimizer_report_lines(self):
+    def test_optimizer_report_lines(self, tmp_path, monkeypatch):
+        # the report writes BENCH_optimizer.json into the working
+        # directory: keep the committed trajectory file out of reach
+        monkeypatch.chdir(tmp_path)
         out = self._run(report.report_optimizer, ablation_scale=0.0005, ablation_reps=1)
+        assert (tmp_path / "BENCH_optimizer.json").exists()
         assert out.count("%") >= 20  # one reduction per query
         assert "pass ablation" in out and "pushdown" in out
 
