@@ -415,8 +415,8 @@ class PlanAnalysis:
 
     Plan nodes are immutable, so a fact about a node — its schema, item
     columns, uniqueness facts, estimated rows, structural class — holds
-    for as long as the node exists, across every pass and fixpoint round,
-    and a plan's topological order is keyed by its root.  Passes
+    for as long as the node exists, across every pass and fixpoint round;
+    a plan's topological order is cached per root.  Passes
     preserve the identity of what they leave alone (a pass that fires no
     rewrite returns its input root), so later passes and rounds find
     most answers here instead of recomputing them.
